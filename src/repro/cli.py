@@ -292,11 +292,11 @@ def cmd_simulate(args) -> int:
 def cmd_cluster(args) -> int:
     tracer = _start_trace(args)
     reads = _read_lines(args.input)
-    config = ClusteringConfig(
-        signature=args.signature, seed=args.seed, workers=args.workers
-    )
-    with as_tracer(tracer).span("pipeline.clustering", reads=len(reads)):
-        result = RashtchianClusterer(config).cluster(reads, tracer=tracer)
+    config = ClusteringConfig(signature=args.signature, seed=args.seed)
+    with as_tracer(tracer).span(
+        "pipeline.clustering", reads=len(reads)
+    ), WorkerPool(args.workers, tracer=tracer) as pool:
+        result = RashtchianClusterer(config).cluster(reads, tracer=tracer, pool=pool)
     _write_lines(
         args.output,
         (" ".join(str(i) for i in cluster) for cluster in result.clusters),

@@ -32,7 +32,7 @@ from repro.dna.distance_batch import myers_levenshtein_batch
 from repro.dna.qgram import QGramSignature, WGramSignature, sample_grams
 from repro.dna.readpool import ReadPool, as_read_pool
 from repro.observability.trace import Tracer, as_tracer, worker_span
-from repro.parallel import WorkerPool, as_pool
+from repro.parallel import WorkerPool
 from repro.clustering.thresholds import (
     ThresholdEstimate,
     estimate_thresholds,
@@ -69,10 +69,6 @@ class ClusteringConfig:
     sweep_max_size: int = 5
     #: edit-checked merge candidates per straggler during the final sweep
     sweep_candidates: int = 3
-    #: worker processes for signature precomputation and gray-zone edit
-    #: verdicts (1 = in-process); ignored when the caller supplies its own
-    #: :class:`~repro.parallel.WorkerPool`
-    workers: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -143,29 +139,12 @@ def _verdict_block(pattern: str, texts, threshold: int) -> List[bool]:
     ]
 
 
-def _grouped_verdicts(pairs, lookup, threshold: int) -> List[bool]:
-    """Evaluate (left, right) pairs grouped by their left representative."""
-    groups: dict = {}
-    for position, (left, right) in enumerate(pairs):
-        groups.setdefault(left, []).append((position, right))
-    verdicts = [False] * len(pairs)
-    for left, entries in groups.items():
-        block = _verdict_block(
-            lookup(left), [lookup(right) for _, right in entries], threshold
-        )
-        for (position, _), verdict in zip(entries, block):
-            verdicts[position] = verdict
-    return verdicts
-
-
-def _edit_verdicts_chunk(pairs, threshold):
-    """Worker entry point for parallel gray-zone edit-distance checks."""
-    with worker_span("clustering.edit_verdicts_chunk", pairs=len(pairs)):
-        return _grouped_verdicts(pairs, lambda read: read, threshold)
-
-
 def _edit_verdict_indices_chunk(pairs, extra):
-    """Index-pair variant: reads live in a shipped columnar sub-pool."""
+    """Worker entry point: gray-zone verdicts for sub-pool index pairs.
+
+    Pairs are grouped by their left representative so each group runs as
+    one :func:`_verdict_block` against a view of the shipped sub-pool.
+    """
     subpool, threshold = extra
     with worker_span("clustering.edit_verdicts_chunk", pairs=len(pairs)):
         groups: dict = {}
@@ -199,45 +178,31 @@ class RashtchianClusterer:
         ``clustering.rounds`` / ``clustering.sweep`` spans and flushes
         the comparison/merge counts into its metrics registry.  Signature
         precomputation and gray-zone edit verdicts fan out over *pool*
-        (or a pool built from ``config.workers`` when none is supplied);
-        results are identical at any worker count.
+        (in-process when none is supplied); results are identical at any
+        worker count.  Raises :class:`ValueError` on an empty read set or
+        a read outside latin-1.
         """
         if not reads:
             raise ValueError("cannot cluster an empty read set")
         config = self.config
-        owns_pool = pool is None
-        pool = as_pool(pool, config.workers)
-        try:
-            return self._cluster(reads, tracer, pool)
-        finally:
-            if owns_pool:
-                pool.close()
-
-    def _cluster(
-        self, reads: Sequence[str], tracer: Optional[Tracer], pool: WorkerPool
-    ) -> ClusteringResult:
-        config = self.config
         tracer = as_tracer(tracer)
+        pool = pool if pool is not None else WorkerPool()
         rng = random.Random(config.seed)
         # Columnar plane: reads normalise to a ReadPool (zero-copy when the
         # caller already built one), so signatures batch over the flat code
-        # array and gray-zone verdicts ship compact index pairs.  Reads
-        # outside latin-1 stay on the string path with identical results.
-        read_pool = reads if isinstance(reads, ReadPool) else as_read_pool(reads)
-        texts = read_pool.to_strings() if read_pool is not None else reads
+        # array and gray-zone verdicts ship compact index pairs.
+        read_pool = as_read_pool(reads)
+        texts = read_pool.to_strings()
         grams = sample_grams(config.num_grams, config.gram_length, rng)
-        if config.signature == "qgram":
-            scheme = QGramSignature(grams)
-            distance: Callable = QGramSignature.distance
-        else:
-            scheme = WGramSignature(grams)
-            distance = WGramSignature.distance
+        distance: Callable = (
+            QGramSignature if config.signature == "qgram" else WGramSignature
+        ).distance
 
         with tracer.span(
             "clustering.signatures", reads=len(reads), flavour=config.signature
         ) as signature_span:
-            signatures = self._compute_signatures(
-                read_pool if read_pool is not None else reads, grams, pool
+            signatures = pool.map_chunks(
+                _compute_signatures_chunk, read_pool, (config.signature, grams)
             )
             signature_span.set("shards", pool.last_shards)
 
@@ -400,19 +365,10 @@ class RashtchianClusterer:
 
     # ------------------------------------------------------------------
 
-    def _compute_signatures(
-        self, reads: Sequence[str], grams: List[str], pool: WorkerPool
-    ) -> List[np.ndarray]:
-        if not isinstance(reads, (list, tuple, ReadPool)):
-            reads = list(reads)  # sliceable for the pool's chunking
-        return pool.map_chunks(
-            _compute_signatures_chunk, reads, (self.config.signature, grams)
-        )
-
     def _run_round(
         self,
         reads: Sequence[str],
-        read_pool: Optional[ReadPool],
+        read_pool: ReadPool,
         signatures: List[np.ndarray],
         distance: Callable,
         union: UnionFind,
@@ -472,7 +428,7 @@ class RashtchianClusterer:
         # fanned out over worker processes (the paper's distributed mode:
         # edit distance dominates clustering cost at realistic error rates).
         verdicts = self._gray_zone_verdicts(
-            reads, read_pool, gray, edit_threshold, result, edit_memo, pool
+            read_pool, gray, edit_threshold, result, edit_memo, pool
         )
         for (root_i, root_j, _, _), verdict in zip(gray, verdicts):
             if not verdict or union.connected(root_i, root_j):
@@ -482,8 +438,7 @@ class RashtchianClusterer:
 
     def _gray_zone_verdicts(
         self,
-        reads: Sequence[str],
-        read_pool: Optional[ReadPool],
+        read_pool: ReadPool,
         gray: List[tuple],
         edit_threshold: int,
         result: ClusteringResult,
@@ -504,19 +459,15 @@ class RashtchianClusterer:
         if not unresolved:
             return [bool(v) for v in verdicts]
 
-        if read_pool is not None:
-            # Columnar mode: ship one compact sub-pool of the involved
-            # representatives plus int index pairs instead of string pairs.
-            unique = sorted({rep for _, a, b in unresolved for rep in (a, b)})
-            remap = {read_index: position for position, read_index in enumerate(unique)}
-            subpool = read_pool.subset(unique)
-            index_pairs = [(remap[a], remap[b]) for _, a, b in unresolved]
-            resolved = pool.map_chunks(
-                _edit_verdict_indices_chunk, index_pairs, (subpool, edit_threshold)
-            )
-        else:
-            pairs = [(reads[a], reads[b]) for _, a, b in unresolved]
-            resolved = pool.map_chunks(_edit_verdicts_chunk, pairs, edit_threshold)
+        # Ship one compact sub-pool of the involved representatives plus
+        # int index pairs instead of string pairs.
+        unique = sorted({rep for _, a, b in unresolved for rep in (a, b)})
+        remap = {read_index: position for position, read_index in enumerate(unique)}
+        subpool = read_pool.subset(unique)
+        index_pairs = [(remap[a], remap[b]) for _, a, b in unresolved]
+        resolved = pool.map_chunks(
+            _edit_verdict_indices_chunk, index_pairs, (subpool, edit_threshold)
+        )
 
         for (index, a, b), verdict in zip(unresolved, resolved):
             edit_memo[(a, b)] = verdict

@@ -22,7 +22,9 @@ active prefix instead of needing per-lane freeze masks.  Results are exact:
 ``myers_levenshtein_batch(p, texts, bound)[i] ==
 levenshtein_distance(p, texts[i], bound)`` for every input (property-tested
 against the scalar oracle), including the ``bound + 1`` saturation
-semantics.  Inputs off the ACGT alphabet fall back to the scalar kernel
+semantics.  Texts are read from a :class:`~repro.dna.readpool.ReadPool`
+view's cached code matrix (other inputs are pooled once at the boundary);
+patterns or texts off the ACGT alphabet fall back to the scalar kernel
 with identical results.
 """
 
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.dna.distance import _pattern_masks, myers_levenshtein_fixed
-from repro.dna.qgram import _encode_acgt
+from repro.dna.readpool import _encode_acgt, as_read_view
 
 _WORD = 64
 
@@ -53,29 +55,6 @@ def _pack_pattern(codes: np.ndarray) -> np.ndarray:
     return peq
 
 
-def _texts_to_matrix(texts) -> "Optional[tuple[np.ndarray, np.ndarray]]":
-    """Dense code matrix + lengths for *texts*, or ``None`` off the fast path."""
-    padded = getattr(texts, "padded_codes", None)
-    if padded is not None and hasattr(texts, "is_acgt"):
-        if not texts.is_acgt:
-            return None
-        return padded()
-    encoded = []
-    for text in texts:
-        codes = _encode_acgt(text)
-        if codes is None:
-            return None
-        encoded.append(codes)
-    lengths = np.fromiter(
-        (codes.size for codes in encoded), dtype=np.int64, count=len(encoded)
-    )
-    width = int(lengths.max()) if lengths.size else 0
-    matrix = np.full((len(encoded), width), 4, dtype=np.uint8)
-    for row, codes in enumerate(encoded):
-        matrix[row, : codes.size] = codes
-    return matrix, lengths
-
-
 def myers_levenshtein_batch(
     pattern: str,
     texts: Sequence[str],
@@ -85,9 +64,8 @@ def myers_levenshtein_batch(
 
     Exactly matches ``levenshtein_distance(pattern, text, bound=bound)``
     per lane, including the saturation of values above *bound* to
-    ``bound + 1``.  *texts* may be any ``Sequence[str]``; a
-    :class:`~repro.dna.readpool.ReadPool` (or view) skips re-encoding by
-    reusing its cached code matrix.
+    ``bound + 1``.  *texts* may be any ``Sequence[str]`` of latin-1 reads;
+    a :class:`~repro.dna.readpool.ReadPool` (or view) is used zero-copy.
     """
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
@@ -95,9 +73,9 @@ def myers_levenshtein_batch(
     if count == 0:
         return np.empty(0, dtype=np.int64)
 
+    texts = as_read_view(texts)
     pattern_codes = _encode_acgt(pattern)
-    prepared = _texts_to_matrix(texts) if pattern_codes is not None else None
-    if pattern_codes is None or prepared is None:
+    if pattern_codes is None or not texts.is_acgt:
         masks = _pattern_masks(pattern)
         return np.fromiter(
             (
@@ -107,7 +85,7 @@ def myers_levenshtein_batch(
             dtype=np.int64,
             count=count,
         )
-    matrix, lengths = prepared
+    matrix, lengths = texts.padded_codes()
 
     length = pattern_codes.size
     if length == 0:

@@ -17,9 +17,11 @@ Signature construction is vectorised: when every gram has the same length
 and read + grams are plain ACGT, the read is radix-encoded once and every
 window becomes a base-4 integer, so one :func:`numpy.isin` (presence) or one
 stable argsort + :func:`numpy.searchsorted` (first occurrence) answers all
-grams at once instead of one Python ``str.find`` per gram.  Reads or gram
-sets outside that fast path (mixed gram lengths, non-ACGT characters) fall
-back to the scalar loop with identical results.
+grams at once instead of one Python ``str.find`` per gram.  Batches run on
+the cached base codes of a :class:`~repro.dna.readpool.ReadPool` (other
+inputs are pooled once at the boundary).  Gram sets or batches outside that
+fast path (mixed gram lengths, non-ACGT reads) fall back to the scalar loop
+with identical results.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.dna.alphabet import BASES
-
-#: byte value -> base code (0..3); 255 marks characters outside ACGT
-_BASE_CODES = np.full(256, 255, dtype=np.uint8)
-for _code, _base in enumerate(BASES):
-    _BASE_CODES[ord(_base)] = _code
+from repro.dna.readpool import _encode_acgt, as_read_pool
 
 
 def sample_grams(
@@ -56,18 +54,6 @@ def sample_grams(
     while len(grams) < count:
         grams.add("".join(rng.choice(BASES) for _ in range(gram_length)))
     return sorted(grams)
-
-
-def _encode_acgt(sequence: str) -> Optional[np.ndarray]:
-    """Base codes (0..3) of *sequence*, or ``None`` off the ACGT alphabet."""
-    try:
-        raw = sequence.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    codes = _BASE_CODES[np.frombuffer(raw, dtype=np.uint8)]
-    if codes.size and codes.max(initial=0) == 255:
-        return None
-    return codes
 
 
 def _window_values(codes: np.ndarray, gram_length: int) -> np.ndarray:
@@ -133,53 +119,31 @@ class _GramSet:
 
         Returns ``(read_ids, window_positions, gram_indices, lengths)`` —
         one entry per gram occurrence anywhere in the batch — or ``None``
-        when any read (or the gram set) is off the ACGT fast path.  Reads
-        are concatenated so the window radix-encoding and the gram lookup
-        each run once over the whole batch; windows that straddle a read
-        boundary are excluded by construction.
+        when any read (or the gram set) is off the ACGT fast path.  The
+        pool's flat code array is the concatenated radix encoding, so the
+        window values and the gram lookup each run once over the whole
+        batch; windows that straddle a read boundary are excluded by
+        construction.
         """
         if self._gram_values is None:
             return None
         gram_length = self._gram_length
-        from repro.dna.readpool import ReadPool
-
-        if isinstance(sequences, ReadPool):
-            # Columnar input: the pool *is* the concatenated radix encoding
-            # this path otherwise builds — reuse it without re-encoding.
-            if not sequences.is_acgt:
-                return None
-            codes_all = sequences.codes
-            lengths = sequences.lengths
-        else:
-            codes_list = []
-            for sequence in sequences:
-                codes = _encode_acgt(sequence)
-                if codes is None:
-                    return None
-                codes_list.append(codes)
-            lengths = np.fromiter(
-                (codes.shape[0] for codes in codes_list),
-                dtype=np.int64,
-                count=len(codes_list),
-            )
-            codes_all = (
-                np.concatenate(codes_list)
-                if codes_list
-                else np.empty(0, dtype=np.uint8)
-            )
+        reads = as_read_pool(sequences)
+        if not reads.is_acgt:
+            return None
+        lengths = reads.lengths
         empty = np.empty(0, dtype=np.int64)
         window_counts = np.maximum(lengths - gram_length + 1, 0)
         total_windows = int(window_counts.sum())
         if total_windows == 0:
             return empty, empty, empty, lengths
-        values = _window_values(codes_all, gram_length)
-        read_ids = np.repeat(np.arange(len(sequences), dtype=np.int64), window_counts)
+        values = _window_values(reads.codes, gram_length)
+        read_ids = np.repeat(np.arange(len(reads), dtype=np.int64), window_counts)
         first_window = np.cumsum(window_counts) - window_counts
         positions = np.arange(total_windows, dtype=np.int64) - np.repeat(
             first_window, window_counts
         )
-        offsets = np.cumsum(lengths) - lengths
-        starts = offsets[read_ids] + positions
+        starts = reads.offsets[read_ids] + positions
         window_values = values[starts]
         slots = np.searchsorted(self._sorted_values, window_values)
         slots = np.minimum(slots, self._sorted_values.shape[0] - 1)

@@ -8,12 +8,20 @@ consensus voting) all iterate over *every* read.  Keeping reads as a Python
 * ``data`` — every read's bytes concatenated into one ``uint8`` array, and
 * ``offsets`` — ``int64`` prefix offsets (``n + 1`` entries) delimiting reads,
 
-which is exactly the radix layout :func:`repro.dna.qgram` batch signatures
-already build internally.  Base codes (A=0, C=1, G=2, T=3 via
-``_BASE_CODES``; 255 marks anything off the alphabet) are derived lazily and
-cached, so batched kernels (:mod:`repro.dna.distance_batch`, matrix
-consensus) can gather lanes without re-encoding, while ``from_strings`` /
-``to_strings`` round-trip losslessly for arbitrary latin-1 payloads.
+which is the radix layout the batched q-gram signatures scan.  Base codes
+(A=0, C=1, G=2, T=3 via ``_BASE_CODES``; 255 marks anything off the
+alphabet) are derived lazily and cached, so batched kernels
+(:mod:`repro.dna.distance_batch`, matrix consensus, windowed POA) gather
+lanes without re-encoding, while ``from_strings`` / ``to_strings``
+round-trip losslessly for arbitrary latin-1 payloads.
+
+This module is the one place strings become base codes.  Every batched
+stage (signatures, gray-zone verdicts, consensus matrices, per-read edit
+distances) takes a pool or view and coerces anything else once at its
+boundary via :func:`as_read_pool` / :func:`as_read_view`, which reject
+reads outside latin-1 with a :class:`ValueError`.  Latin-1 reads off the
+ACGT alphabet (``N``, lowercase) are stored losslessly and routed to the
+scalar kernels through :attr:`ReadPool.is_acgt`.
 
 A :class:`ReadPool` is a ``Sequence[str]`` — ``len``, indexing, and slicing
 behave like the list of reads it replaces — so it drops into every existing
@@ -21,14 +29,17 @@ API (clustering, :class:`repro.parallel.WorkerPool` chunking, provenance)
 without adapters.  :meth:`ReadPool.view` produces a zero-copy
 :class:`ReadPoolView` over a subset of reads (e.g. one cluster), which
 pickles as a compact standalone pool so process fan-out ships only the reads
-it needs.
+it needs; :func:`concat_views` gathers views of any number of pools (e.g.
+clusters unpickled in a worker) back into one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
+
+from repro.dna.alphabet import BASES
 
 #: code used for padding positions in dense per-cluster matrices; distinct
 #: from the 0..3 base codes and from the 255 non-ACGT sentinel.
@@ -37,12 +48,25 @@ PAD_CODE = 4
 #: sentinel marking bytes outside ACGT in :attr:`ReadPool.codes`.
 NON_ACGT_CODE = 255
 
+#: byte value -> base code (0..3); NON_ACGT_CODE marks bytes outside ACGT
+_BASE_CODES = np.full(256, NON_ACGT_CODE, dtype=np.uint8)
+for _code, _base in enumerate(BASES):
+    _BASE_CODES[ord(_base)] = _code
 
-def _base_codes_table() -> np.ndarray:
-    # Import deferred: qgram imports ReadPool for its batch fast path.
-    from repro.dna.qgram import _BASE_CODES
 
-    return _BASE_CODES
+def _encode_acgt(sequence: str) -> Optional[np.ndarray]:
+    """Base codes (0..3) of one string, or ``None`` off the ACGT alphabet.
+
+    For single patterns and grams; read sets go through :class:`ReadPool`.
+    """
+    try:
+        raw = sequence.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    codes = _BASE_CODES[np.frombuffer(raw, dtype=np.uint8)]
+    if codes.size and codes.max(initial=0) == NON_ACGT_CODE:
+        return None
+    return codes
 
 
 class ReadPool(Sequence[str]):
@@ -69,15 +93,19 @@ class ReadPool(Sequence[str]):
     def from_strings(cls, reads: Iterable[str]) -> "ReadPool":
         """Build a pool from reads; lossless for any latin-1 text.
 
-        Raises :class:`ValueError` when a read contains characters outside
-        latin-1 (no single-byte encoding exists for it).
+        Raises :class:`ValueError` naming the first read that contains
+        characters outside latin-1 (no single-byte encoding exists for it).
         """
         materialised = list(reads)
         try:
             chunks = [read.encode("latin-1") for read in materialised]
         except UnicodeEncodeError as exc:
+            index = next(
+                i for i, read in enumerate(materialised) if max(read) > "\xff"
+            )
             raise ValueError(
-                "ReadPool only stores single-byte (latin-1) strings"
+                f"read {index} is not latin-1: ReadPool only stores "
+                "single-byte strings"
             ) from exc
         offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
         if chunks:
@@ -93,7 +121,7 @@ class ReadPool(Sequence[str]):
     def codes(self) -> np.ndarray:
         """Base codes (0..3, 255 = non-ACGT) for the flat data, cached."""
         if self._codes is None:
-            self._codes = _base_codes_table()[self.data]
+            self._codes = _BASE_CODES[self.data]
         return self._codes
 
     @property
@@ -161,14 +189,9 @@ class ReadPool(Sequence[str]):
         lengths = self.lengths[index_array]
         offsets = np.zeros(index_array.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        data = np.empty(int(offsets[-1]), dtype=np.uint8)
-        starts = self.offsets[index_array]
-        for position in range(index_array.size):
-            length = lengths[position]
-            lo = offsets[position]
-            data[lo : lo + length] = self.data[
-                starts[position] : starts[position] + length
-            ]
+        # Source byte of every output byte: read start + position in read.
+        shift = np.repeat(self.offsets[index_array] - offsets[:-1], lengths)
+        data = self.data[np.arange(int(offsets[-1]), dtype=np.int64) + shift]
         return ReadPool(data, offsets)
 
     def view(self, indices: Sequence[int]) -> "ReadPoolView":
@@ -205,10 +228,6 @@ def _padded_codes(
         valid = columns[None, :] < lengths[:, None]
         matrix[valid] = codes[(starts[:, None] + columns[None, :])[valid]]
     return matrix, lengths.copy()
-
-
-def _rebuild_view(pool: ReadPool) -> "ReadPoolView":
-    return ReadPoolView(pool, np.arange(len(pool), dtype=np.int64))
 
 
 class ReadPoolView(Sequence[str]):
@@ -254,19 +273,62 @@ class ReadPoolView(Sequence[str]):
         )
 
     def __reduce__(self):
-        return (_rebuild_view, (self.pool.subset(self.indices),))
+        return (as_read_view, (self.pool.subset(self.indices),))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ReadPoolView(reads={len(self)})"
 
 
-def as_read_pool(reads: Sequence[str]) -> "ReadPool | None":
-    """Coerce *reads* to a :class:`ReadPool`, or ``None`` when impossible."""
+def as_read_pool(reads: Sequence[str]) -> ReadPool:
+    """Coerce *reads* to a :class:`ReadPool` (views are compacted).
+
+    Raises :class:`ValueError` when a read is outside latin-1.
+    """
     if isinstance(reads, ReadPool):
         return reads
     if isinstance(reads, ReadPoolView):
         return reads.pool.subset(reads.indices)
-    try:
-        return ReadPool.from_strings(reads)
-    except ValueError:
-        return None
+    return ReadPool.from_strings(reads)
+
+
+def as_read_view(reads: Sequence[str]) -> ReadPoolView:
+    """Coerce *reads* to a :class:`ReadPoolView` (views pass through zero-copy).
+
+    Raises :class:`ValueError` when a read is outside latin-1.
+    """
+    if isinstance(reads, ReadPoolView):
+        return reads
+    pool = as_read_pool(reads)
+    return pool.view(np.arange(len(pool), dtype=np.int64))
+
+
+def concat_views(groups: Sequence[Sequence[str]]) -> ReadPoolView:
+    """One view over the reads of every group, in order.
+
+    Groups may be views of different pools — clusters unpickled in a worker
+    each carry their own compact pool — or anything :func:`as_read_view`
+    accepts.  Views sharing one pool stay zero-copy; otherwise the distinct
+    pools' columns are concatenated once.
+    """
+    views = [as_read_view(group) for group in groups]
+    if not views:
+        return ReadPool.from_strings([]).view([])
+    pools: List[ReadPool] = []
+    read_bases: dict = {}
+    total = 0
+    for view in views:
+        if id(view.pool) not in read_bases:
+            read_bases[id(view.pool)] = total
+            total += len(view.pool)
+            pools.append(view.pool)
+    indices = np.concatenate(
+        [view.indices + read_bases[id(view.pool)] for view in views]
+    )
+    if len(pools) == 1:
+        return ReadPoolView(pools[0], indices)
+    byte_bases = np.cumsum([0] + [pool.data.size for pool in pools[:-1]])
+    offsets = np.concatenate(
+        [[0]] + [pool.offsets[1:] + base for pool, base in zip(pools, byte_bases)]
+    )
+    data = np.concatenate([pool.data for pool in pools])
+    return ReadPoolView(ReadPool(data, offsets), indices)

@@ -8,7 +8,7 @@ are byte-identical at any worker count.  See the module docstrings of
 design notes.
 """
 
-from repro.parallel.pool import DEFAULT_MIN_ITEMS, WorkerPool, as_pool
+from repro.parallel.pool import DEFAULT_MIN_ITEMS, WorkerPool
 from repro.parallel.seeding import derive_seed
 
-__all__ = ["DEFAULT_MIN_ITEMS", "WorkerPool", "as_pool", "derive_seed"]
+__all__ = ["DEFAULT_MIN_ITEMS", "WorkerPool", "derive_seed"]

@@ -272,12 +272,3 @@ class WorkerPool:
         backend = "serial" if self.workers <= 1 else "process"
         return f"WorkerPool(workers={self.workers}, backend={backend!r})"
 
-
-def as_pool(pool: Optional[WorkerPool], workers: int = 1) -> WorkerPool:
-    """*pool* itself, or a serial/process pool built from *workers*.
-
-    Stages accept an optional pool so the pipeline can share one executor
-    across all of them; standalone callers (CLI subcommands, direct API
-    use) pass ``None`` and get a pool matching their own ``workers`` knob.
-    """
-    return pool if pool is not None else WorkerPool(workers)

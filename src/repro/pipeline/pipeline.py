@@ -234,7 +234,8 @@ class Pipeline:
                 timings.preprocessing = span.duration
 
             result = self._recover(
-                reads,
+                # run.reads has one cached pool, shared with the ledger pass.
+                run.read_pool() if reads is run.reads else reads,
                 encoded,
                 timings,
                 tracer=tracer,
@@ -261,6 +262,7 @@ class Pipeline:
 
         *reads* must already be oriented and primer-trimmed (use
         :class:`~repro.wetlab.preprocess.WetlabPreprocessor` on raw fastq).
+        Raises :class:`ValueError` when a read is outside latin-1.
         """
         tracer = as_tracer(tracer)
         timings = StageTimings()
@@ -289,7 +291,7 @@ class Pipeline:
 
     def _recover(
         self,
-        reads: List[str],
+        reads: Sequence[str],
         encoded: EncodedPool,
         timings: StageTimings,
         expected_units: Optional[int] = None,
@@ -311,17 +313,15 @@ class Pipeline:
                 # One columnar pool for the whole recovery: clustering reuses
                 # its radix codes for signatures and batched edit verdicts,
                 # and each kept cluster becomes a zero-copy view into it for
-                # the matrix-consensus reconstructors.  Reads that cannot be
-                # pooled (non-latin-1) keep the list-of-str path throughout.
+                # the matrix-consensus reconstructors.
                 read_pool = as_read_pool(reads)
-                cluster_input = read_pool if read_pool is not None else reads
                 clusterer = config.clusterer or RashtchianClusterer(config.clustering)
                 kwargs = {}
                 if _accepts_kwarg(clusterer.cluster, "tracer"):
                     kwargs["tracer"] = tracer
                 if pool is not None and _accepts_kwarg(clusterer.cluster, "pool"):
                     kwargs["pool"] = pool
-                clustering = clusterer.cluster(cluster_input, **kwargs)
+                clustering = clusterer.cluster(read_pool, **kwargs)
                 kept_ids = [
                     cluster_id
                     for cluster_id, cluster in enumerate(clustering.clusters)
@@ -331,15 +331,7 @@ class Pipeline:
                     clustering.clusters[cluster_id] for cluster_id in kept_ids
                 ]
                 ledger.record_clustering(clustering.clusters, kept_ids)
-                if read_pool is not None:
-                    clusters_reads = [
-                        read_pool.view(cluster) for cluster in kept_clusters
-                    ]
-                else:
-                    clusters_reads = [
-                        [reads[index] for index in cluster]
-                        for cluster in kept_clusters
-                    ]
+                clusters_reads = [read_pool.view(cluster) for cluster in kept_clusters]
                 discarded = len(reads) - sum(len(c) for c in clusters_reads)
                 span.set("clusters", len(clustering.clusters))
                 span.set("kept_clusters", len(clusters_reads))

@@ -17,9 +17,11 @@ code 4) and advances every cluster's vote in lockstep:
 Both are byte-identical to their scalar counterparts
 (:class:`~repro.reconstruction.majority.MajorityVoteReconstructor` and
 :class:`~repro.reconstruction.bma.BMAReconstructor._run`), which stay in
-the tree as the oracles the property tests compare against.  Inputs off
-the ACGT alphabet are rejected by :func:`stack_clusters` (returns
-``None``) and the callers fall back to the scalar path.
+the tree as the oracles the property tests compare against.  Clusters are
+gathered into one :class:`~repro.dna.readpool.ReadPoolView` (zero-copy
+for views of one pool, one concatenation for views of several); a batch
+with any read off the ACGT alphabet is rejected by :func:`stack_clusters`
+(returns ``None``) and the callers fall back to the scalar path.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dna.alphabet import BASES
-from repro.dna.qgram import _encode_acgt
-from repro.dna.readpool import PAD_CODE, ReadPoolView, _padded_codes
+from repro.dna.readpool import PAD_CODE, concat_views
 
 _BASES_U8 = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
 
@@ -50,38 +51,10 @@ def stack_clusters(
     """
     starts = np.zeros(len(clusters) + 1, dtype=np.int64)
     np.cumsum([len(cluster) for cluster in clusters], out=starts[1:])
-    first = clusters[0] if clusters else None
-    if isinstance(first, ReadPoolView) and all(
-        isinstance(cluster, ReadPoolView) and cluster.pool is first.pool
-        for cluster in clusters
-    ):
-        pool = first.pool
-        indices = (
-            np.concatenate([cluster.indices for cluster in clusters])
-            if clusters
-            else np.empty(0, dtype=np.int64)
-        )
-        if not bool(pool.acgt_per_read[indices].all()):
-            return None
-        lengths = pool.lengths[indices]
-        matrix, lengths = _padded_codes(
-            pool.codes, pool.offsets[:-1][indices], lengths, PAD_CODE
-        )
-    else:
-        encoded: List[np.ndarray] = []
-        for cluster in clusters:
-            for read in cluster:
-                codes = _encode_acgt(read)
-                if codes is None:
-                    return None
-                encoded.append(codes)
-        lengths = np.fromiter(
-            (codes.size for codes in encoded), dtype=np.int64, count=len(encoded)
-        )
-        width = int(lengths.max()) if lengths.size else 0
-        matrix = np.full((len(encoded), width), PAD_CODE, dtype=np.uint8)
-        for row, codes in enumerate(encoded):
-            matrix[row, : codes.size] = codes
+    reads = concat_views(clusters)
+    if not reads.is_acgt:
+        return None
+    matrix, lengths = reads.padded_codes()
     # Same contract as Reconstructor._validate: a cluster of only empty
     # reads (or no reads) has nothing to vote with.
     cluster_max = np.zeros(len(clusters), dtype=np.int64)

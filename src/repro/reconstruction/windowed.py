@@ -14,9 +14,9 @@ differences estimate the read's coordinate shift.  Shifts are estimated
 per *window* (the median difference of the anchors near that window), so
 indel drift accumulated over a kb-scale strand cannot smear the estimate.
 When a window has too few anchors the read falls back to its global median
-shift.  Clusters arriving as :class:`~repro.dna.readpool.ReadPoolView`
-objects are anchored straight from the pool's cached base codes — no string
-decoding on the hot path.
+shift.  Reads are anchored straight from the cached base codes of the
+cluster's :class:`~repro.dna.readpool.ReadPoolView` (other inputs are
+pooled once at the boundary) — no string decoding on the hot path.
 
 **Windowed, banded, batched consensus.**  The backbone is sliced into
 overlapping fixed-width windows (spectrassembler-style), and every read
@@ -56,8 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dna.alphabet import BASES
-from repro.dna.qgram import _BASE_CODES, _window_values
-from repro.dna.readpool import NON_ACGT_CODE, ReadPool, ReadPoolView
+from repro.dna.qgram import _window_values
+from repro.dna.readpool import NON_ACGT_CODE, as_read_view
 from repro.observability.trace import Tracer, as_tracer, worker_span
 from repro.parallel import WorkerPool
 from repro.parallel.seeding import derive_seed
@@ -69,11 +69,6 @@ _NEG_INF = np.int32(-(2**30))
 #: surface in the rare backbone-fallback path for windows with no usable
 #: reads, where any fixed letter is as good as another).
 _CODE_TO_BASE = {code: base for code, base in enumerate(BASES)}
-
-
-def _encode_read(read: str) -> np.ndarray:
-    """Base codes of *read* (0..3; 255 marks non-ACGT characters)."""
-    return _BASE_CODES[np.frombuffer(read.encode("latin-1"), dtype=np.uint8)]
 
 
 def _decode_codes(codes: np.ndarray) -> str:
@@ -548,34 +543,27 @@ class WindowedPOAReconstructor(NWConsensusReconstructor):
     def _cluster_codes(self, cluster: Sequence[str]) -> Tuple[List[np.ndarray], List]:
         """Selected reads as code arrays plus lazy string accessors.
 
-        :class:`ReadPoolView` clusters slice the parent pool's cached code
-        column zero-copy; anything else encodes per read.  Selection uses
-        the exact ordering of :meth:`_select_reads`, so the windowed and
-        scalar paths always agree on the backbone.
+        Code arrays slice the cluster pool's cached code column zero-copy.
+        Selection uses the exact ordering of :meth:`_select_reads`, so the
+        windowed and scalar paths always agree on the backbone.
         """
-        if isinstance(cluster, (ReadPool, ReadPoolView)):
-            if isinstance(cluster, ReadPool):
-                cluster = cluster.view(np.arange(len(cluster), dtype=np.int64))
-            lengths = cluster.lengths
-            nonempty = [i for i in range(len(cluster)) if lengths[i] > 0]
-            if not nonempty:
-                raise ValueError("cluster must contain at least one non-empty read")
-            keep = self._selection_order([int(lengths[i]) for i in nonempty])
-            self._reads_capped += max(0, len(nonempty) - self.max_cluster)
-            pool = cluster.pool
-            codes_all = pool.codes
-            offsets = pool.offsets
-            codes = []
-            readers = []
-            for position in keep:
-                index = int(cluster.indices[nonempty[position]])
-                codes.append(codes_all[offsets[index] : offsets[index + 1]])
-                readers.append(index)
-            return codes, [lambda p=pool, i=index: p[i] for index in readers]
-        reads = self._select_reads(cluster)
-        return [_encode_read(read) for read in reads], [
-            lambda r=read: r for read in reads
-        ]
+        cluster = as_read_view(cluster)
+        lengths = cluster.lengths
+        nonempty = [i for i in range(len(cluster)) if lengths[i] > 0]
+        if not nonempty:
+            raise ValueError("cluster must contain at least one non-empty read")
+        keep = self._selection_order([int(lengths[i]) for i in nonempty])
+        self._reads_capped += max(0, len(nonempty) - self.max_cluster)
+        pool = cluster.pool
+        codes_all = pool.codes
+        offsets = pool.offsets
+        codes = []
+        readers = []
+        for position in keep:
+            index = int(cluster.indices[nonempty[position]])
+            codes.append(codes_all[offsets[index] : offsets[index + 1]])
+            readers.append(index)
+        return codes, [lambda p=pool, i=index: p[i] for index in readers]
 
     def _plan(self, cluster: Sequence[str], expected_length: int) -> _ClusterPlan:
         """Build the execution plan for one cluster.

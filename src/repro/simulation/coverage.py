@@ -139,13 +139,13 @@ class SequencingRun:
             clusters.setdefault(origin, []).append(read_index)
         return clusters
 
-    def read_pool(self) -> Optional[ReadPool]:
+    def read_pool(self) -> ReadPool:
         """Columnar :class:`~repro.dna.readpool.ReadPool` over ``reads``.
 
         Built lazily and cached against the identity of the current read
-        list, so the batched consumers (per-read edit distances, quality
-        estimation) share one encoding pass.  ``None`` when the reads
-        cannot be pooled (non-latin-1 payloads).
+        list, so every batched consumer (per-read edit distances,
+        clustering, consensus) shares one encoding pass.  Raises
+        :class:`ValueError` when a read is outside latin-1.
         """
         cached = getattr(self, "_read_pool_cache", None)
         if cached is None or cached[0] is not self.reads:

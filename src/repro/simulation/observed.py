@@ -18,10 +18,9 @@ rates.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.dna.alignment import edit_operations
-from repro.dna.distance import levenshtein_distance
 from repro.dna.distance_batch import myers_levenshtein_batch
 from repro.observability.quality import ChannelQuality
 from repro.parallel import WorkerPool
@@ -30,11 +29,6 @@ from repro.simulation.coverage import SequencingRun
 #: Default cap on reads aligned per run; alignment is O(len^2) per read,
 #: and a few hundred reads pin the rate estimates to well under a percent.
 DEFAULT_SAMPLE = 200
-
-
-def _read_edit_chunk(pairs, _extra) -> List[int]:
-    """Worker entry point: edit distance for (read, reference) pairs."""
-    return [levenshtein_distance(read, reference) for read, reference in pairs]
 
 
 def _origin_edit_chunk(groups, _extra) -> List[List[int]]:
@@ -70,13 +64,10 @@ def per_read_edit_distances(
     for position, origin in enumerate(run.origins):
         positions_by_origin.setdefault(origin, []).append(position)
     read_pool = run.read_pool()
-    groups = []
-    for origin, positions in positions_by_origin.items():
-        if read_pool is not None:
-            reads: Sequence[str] = read_pool.view(positions)
-        else:
-            reads = [run.reads[position] for position in positions]
-        groups.append((run.references[origin], reads))
+    groups = [
+        (run.references[origin], read_pool.view(positions))
+        for origin, positions in positions_by_origin.items()
+    ]
     if pool is None:
         per_group = _origin_edit_chunk(groups, None)
     else:

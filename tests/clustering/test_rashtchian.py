@@ -10,6 +10,7 @@ from repro.clustering import (
     clustering_accuracy,
 )
 from repro.dna.alphabet import random_sequence
+from repro.parallel import WorkerPool
 from repro.simulation import ConstantCoverage, IdentityChannel, IIDChannel, sequence_pool
 
 FAST = dict(rounds=12, num_grams=48)
@@ -124,9 +125,10 @@ class TestParallelSignatures:
         serial = RashtchianClusterer(ClusteringConfig(seed=3, **FAST)).cluster(
             run.reads
         )
-        parallel = RashtchianClusterer(
-            ClusteringConfig(seed=3, workers=2, **FAST)
-        ).cluster(run.reads)
+        with WorkerPool(2) as pool:
+            parallel = RashtchianClusterer(ClusteringConfig(seed=3, **FAST)).cluster(
+                run.reads, pool=pool
+            )
         assert serial.clusters == parallel.clusters
 
 
@@ -141,9 +143,10 @@ class TestColumnarInput:
             run.reads
         )
         for workers in (1, 4):
-            result = RashtchianClusterer(
-                ClusteringConfig(seed=3, workers=workers, **FAST)
-            ).cluster(ReadPool.from_strings(run.reads))
+            with WorkerPool(workers) as pool:
+                result = RashtchianClusterer(ClusteringConfig(seed=3, **FAST)).cluster(
+                    ReadPool.from_strings(run.reads), pool=pool
+                )
             assert result.clusters == baseline.clusters
             assert result.edit_comparisons == baseline.edit_comparisons
             assert result.signature_comparisons == baseline.signature_comparisons

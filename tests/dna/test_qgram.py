@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dna.qgram import QGramSignature, WGramSignature, sample_grams
+from repro.dna.readpool import ReadPool
 
 dna = st.text(alphabet="ACGT", max_size=80)
 
@@ -105,6 +106,12 @@ class TestVectorisedPaths:
         q, w = QGramSignature(grams), WGramSignature(grams)
         for sequence, q_sig, w_sig in zip(
             sequences, q.compute_batch(sequences), w.compute_batch(sequences)
+        ):
+            assert q_sig.tolist() == _scalar_qgram(grams, sequence)
+            assert w_sig.tolist() == _scalar_wgram(grams, sequence)
+        pool = ReadPool.from_strings(sequences)
+        for sequence, q_sig, w_sig in zip(
+            sequences, q.compute_batch(pool), w.compute_batch(pool)
         ):
             assert q_sig.tolist() == _scalar_qgram(grams, sequence)
             assert w_sig.tolist() == _scalar_wgram(grams, sequence)

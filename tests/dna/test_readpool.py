@@ -15,6 +15,8 @@ from repro.dna.readpool import (
     ReadPool,
     ReadPoolView,
     as_read_pool,
+    as_read_view,
+    concat_views,
 )
 
 acgt_reads = st.lists(st.text(alphabet="ACGT", max_size=100), max_size=20)
@@ -184,5 +186,39 @@ class TestAsReadPool:
         assert isinstance(result, ReadPool)
         assert result.to_strings() == ["AC", "NN!"]
 
-    def test_unpoolable_returns_none(self):
-        assert as_read_pool(["ACGT", "日本語"]) is None
+    def test_unpoolable_raises_naming_first_bad_read(self):
+        with pytest.raises(ValueError, match="read 2 "):
+            as_read_pool(["ACGT", "ACNT", "日本語", "é", "語"])
+
+
+class TestAsReadView:
+    def test_view_passthrough(self):
+        view = ReadPool.from_strings(["AC", "GT"]).view([1])
+        assert as_read_view(view) is view
+
+    def test_pool_and_list_give_full_views(self):
+        pool = ReadPool.from_strings(["AC", "GT"])
+        assert as_read_view(pool).pool is pool
+        assert as_read_view(pool).to_strings() == ["AC", "GT"]
+        assert as_read_view(["AC", "N"]).to_strings() == ["AC", "N"]
+
+
+class TestConcatViews:
+    def test_shared_pool_stays_zero_copy(self):
+        pool = ReadPool.from_strings(["AC", "GT", "CA"])
+        merged = concat_views([pool.view([2]), pool.view([0, 1])])
+        assert merged.pool is pool
+        assert merged.to_strings() == ["CA", "AC", "GT"]
+
+    def test_views_of_separate_pools_merge_in_order(self):
+        pool = ReadPool.from_strings(["AC", "GGT", "", "TTTA"])
+        views = [pickle.loads(pickle.dumps(pool.view(i))) for i in ([3, 0], [2], [1])]
+        assert len({id(view.pool) for view in views}) == 3
+        merged = concat_views(views + [["CN"]])
+        assert merged.to_strings() == ["TTTA", "AC", "", "GGT", "CN"]
+        assert merged.pool.acgt_per_read[merged.indices].tolist() == [
+            True, True, True, True, False,
+        ]
+
+    def test_empty(self):
+        assert len(concat_views([])) == 0

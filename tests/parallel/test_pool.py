@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability import Tracer, span_structure
-from repro.parallel import DEFAULT_MIN_ITEMS, WorkerPool, as_pool, derive_seed
+from repro.parallel import DEFAULT_MIN_ITEMS, WorkerPool, derive_seed
 from repro.parallel.pool import plan_chunks
 
 
@@ -83,14 +83,6 @@ class TestWorkerPool:
         pool.map_chunks(_double_chunk, list(range(8)), 0)
         pool.close()
         pool.close()
-
-    def test_as_pool_passthrough_and_default(self):
-        existing = WorkerPool(3)
-        assert as_pool(existing) is existing
-        built = as_pool(None, 2)
-        assert built.workers == 2
-        built.close()
-        existing.close()
 
 
 class TestPlanChunks:

@@ -89,6 +89,10 @@ class TestRunFromReads:
         assert result.data == b""
         assert not result.success
 
+    def test_reads_outside_latin1_are_rejected(self):
+        with pytest.raises(ValueError, match="read 1 "):
+            Pipeline(fast_config()).run_from_reads(["ACGT", "AC\u65e5GT", "ACGT"])
+
 
 class TestConfigValidation:
     def test_orientation_requires_primers(self):
@@ -147,3 +151,20 @@ class TestColumnarPlane:
         assert result.data == data
         assert issubclass(seen["cluster_input"], ReadPool)
         assert seen["cluster_types"] == {ReadPoolView}
+
+    def test_ledger_run_pools_reads_once(self, monkeypatch):
+        from repro.dna.readpool import ReadPool
+        from repro.observability import ProvenanceLedger
+
+        calls = []
+        original = ReadPool.from_strings.__func__
+
+        def spy(cls, reads):
+            calls.append(len(reads))
+            return original(cls, reads)
+
+        monkeypatch.setattr(ReadPool, "from_strings", classmethod(spy))
+        data = random.Random(5).randbytes(100)
+        result = Pipeline(fast_config()).run(data, ledger=ProvenanceLedger())
+        assert result.data == data
+        assert calls == [len(result.sequencing.reads)]

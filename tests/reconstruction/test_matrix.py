@@ -1,5 +1,6 @@
 """Matrix consensus kernels vs the scalar reconstructor oracles."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -126,6 +127,10 @@ class TestStackClusters:
         from_views = stack_clusters(views)
         from_strings = stack_clusters(clusters)
         for left, right in zip(from_views, from_strings):
+            assert np.array_equal(left, right)
+        # Views shipped to a worker each unpickle onto their own pool.
+        from_unpickled = stack_clusters([pickle.loads(pickle.dumps(v)) for v in views])
+        for left, right in zip(from_unpickled, from_strings):
             assert np.array_equal(left, right)
 
     def test_reverse_matrix(self):

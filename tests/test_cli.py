@@ -210,6 +210,29 @@ class TestTraceFlag:
         )
 
 
+class TestClusterWorkers:
+    def test_workers_trace_records_worker_spans(self, payload, tmp_path):
+        strands = tmp_path / "strands.txt"
+        reads = tmp_path / "reads.txt"
+        run("encode", payload, strands, *ENCODING_ARGS)
+        run("simulate", strands, reads, "--coverage", 8, "--seed", 3)
+        serial = tmp_path / "clusters-w1.txt"
+        parallel = tmp_path / "clusters-w2.txt"
+        trace_path = tmp_path / "trace.jsonl"
+        assert run("cluster", reads, serial, "--seed", 2) == 0
+        assert (
+            run(
+                "cluster", reads, parallel, "--seed", 2,
+                "--workers", 2, "--trace", trace_path,
+            )
+            == 0
+        )
+        assert parallel.read_text() == serial.read_text()
+        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        spans = {line["name"] for line in lines if line["kind"] == "span"}
+        assert "worker.chunk" in spans
+
+
 class TestChromeTraceFlag:
     def test_pipeline_trace_out_writes_chrome_json(self, payload, tmp_path, capsys):
         chrome_path = tmp_path / "chrome.json"
