@@ -44,7 +44,6 @@ from repro.observability.trace import (
     NullTracer,
     Span,
     Tracer,
-    WorkerTracer,
     as_tracer,
     capture_worker_spans,
     current_worker_tracer,
@@ -119,7 +118,6 @@ __all__ = [
     "percentile",
     "Span",
     "Tracer",
-    "WorkerTracer",
     "NullTracer",
     "NULL_TRACER",
     "as_tracer",

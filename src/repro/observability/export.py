@@ -5,7 +5,10 @@ trace can be streamed, grepped, and diffed:
 
 * ``{"kind": "span", "id": 3, "parent": 1, "name": ..., "start": ...,
   "duration": ..., "attributes": {...}}`` — spans appear in depth-first
-  order; ``parent`` reconstructs the nesting.
+  order; ``parent`` reconstructs the nesting.  The record is the one
+  :func:`~repro.observability.trace.span_records` yields, read back by
+  :func:`~repro.observability.trace.spans_from_records` — the same pair
+  that carries worker spans across processes.
 * ``{"kind": "counter"|"gauge", "name": ..., "labels": {...},
   "value": ...}``
 * ``{"kind": "histogram", "name": ..., "labels": {...},
@@ -31,7 +34,12 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.analysis.reporting import format_table
-from repro.observability.trace import Span, Tracer
+from repro.observability.trace import (
+    Span,
+    Tracer,
+    span_records,
+    spans_from_records,
+)
 
 FORMAT_VERSION = 1
 
@@ -44,29 +52,8 @@ FORMAT_VERSION = 1
 def trace_lines(tracer: Tracer) -> Iterator[str]:
     """Serialise *tracer*'s spans and metrics as JSONL lines."""
     yield json.dumps({"kind": "meta", "version": FORMAT_VERSION})
-    next_id = 0
-
-    def emit(span: Span, parent: int) -> Iterator[str]:
-        nonlocal next_id
-        next_id += 1
-        span_id = next_id
-        yield json.dumps(
-            {
-                "kind": "span",
-                "id": span_id,
-                "parent": parent,
-                "name": span.name,
-                "start": span.start,
-                "duration": span.duration,
-                "attributes": span.attributes,
-            },
-            default=str,
-        )
-        for child in span.children:
-            yield from emit(child, span_id)
-
-    for root in tracer.roots:
-        yield from emit(root, 0)
+    for record in span_records(tracer.roots):
+        yield json.dumps({"kind": "span", **record}, default=str)
 
     for name, labels, counter in tracer.metrics.counters():
         yield json.dumps(
@@ -125,26 +112,23 @@ def load_trace(source: Union[str, Path, Iterable[str]]) -> TraceData:
     else:
         lines = source
     trace = TraceData()
-    spans_by_id: Dict[int, Span] = {}
-    for line in lines:
+    spans: List[Tuple[int, object]] = []
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except ValueError as error:
+            raise ValueError(f"line {number}: {error}") from None
+        if not isinstance(record, dict) or record.get("kind") == "span":
+            # spans_from_records validates these (a non-object included).
+            spans.append((number, record))
+            continue
         kind = record.get("kind")
         if kind == "meta":
             continue
-        if kind == "span":
-            span = Span(record["name"], dict(record.get("attributes", {})))
-            span.start = float(record["start"])
-            span.duration = float(record["duration"])
-            spans_by_id[record["id"]] = span
-            parent = spans_by_id.get(record.get("parent") or 0)
-            if parent is None:
-                trace.roots.append(span)
-            else:
-                parent.children.append(span)
-        elif kind == "counter":
+        if kind == "counter":
             trace.counters.append(
                 (record["name"], dict(record.get("labels", {})), int(record["value"]))
             )
@@ -157,7 +141,8 @@ def load_trace(source: Union[str, Path, Iterable[str]]) -> TraceData:
                 (record["name"], dict(record.get("labels", {})), dict(record["summary"]))
             )
         else:
-            raise ValueError(f"unknown trace record kind {kind!r}")
+            raise ValueError(f"line {number}: unknown trace record kind {kind!r}")
+    trace.roots = spans_from_records(spans)
     return trace
 
 

@@ -44,6 +44,7 @@ from repro.observability.provenance import (
     ProvenanceSummary,
     StrandProvenance,
     UnitOutcome,
+    dominant_origin,
 )
 
 #: Verdicts that name an upstream (pre-RS) journey fault.
@@ -70,14 +71,13 @@ def analyze(ledger: ProvenanceLedger) -> ProvenanceReport:
         for position, cluster_id in enumerate(ledger.kept_ids)
     }
 
-    # cluster id -> dominant origin (same first-seen tie-break as the
-    # reconstruction scoring: Counter.most_common on sorted member order)
-    dominant_origin: Dict[int, int] = {}
+    # cluster id -> dominant origin
+    cluster_origin: Dict[int, int] = {}
     if ledger.origins:
         for cluster_id, members in enumerate(ledger.clusters):
-            votes = Counter(ledger.origins[read_index] for read_index in members)
-            if votes:
-                dominant_origin[cluster_id] = votes.most_common(1)[0][0]
+            origin = dominant_origin(ledger.origins, members)
+            if origin is not None:
+                cluster_origin[cluster_id] = origin
 
     # origin -> read ids (in read order, deterministic)
     reads_by_origin: Dict[int, List[int]] = {}
@@ -107,7 +107,7 @@ def analyze(ledger: ProvenanceLedger) -> ProvenanceReport:
                 cluster=cluster_id,
                 reads=count,
                 kept=cluster_id in kept_position,
-                dominant=dominant_origin.get(cluster_id) == strand_id,
+                dominant=cluster_origin.get(cluster_id) == strand_id,
             )
             for cluster_id, count in sorted(placement_counts.items())
         ]

@@ -18,9 +18,10 @@ shared by every instrument it creates, so a stage thread updating counters
 can race the :class:`~repro.observability.sampler.TelemetrySampler` thread
 calling :meth:`MetricsRegistry.snapshot` without torn reads or
 ``RuntimeError: dictionary changed size during iteration``.  The lock is
-dropped on pickling (instruments cross no process boundary; worker-side
-metrics travel as the plain-data
-:class:`~repro.observability.trace.WorkerTracer` export).
+dropped on pickling.  Instruments cross no process boundary: a worker
+chunk returns its counts inside its chunk result (as the reconstructors
+do) and its spans as plain
+:func:`~repro.observability.trace.span_records`.
 """
 
 from __future__ import annotations
@@ -253,25 +254,6 @@ class MetricsRegistry:
                 for (name, labels), histogram in sorted(self._histograms.items())
             }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s instruments into this registry (sums/extends)."""
-        with self._lock:
-            for (key, counter) in other._counters.items():
-                mine = self._counters.get(key)
-                if mine is None:
-                    mine = self._counters[key] = Counter(self._lock)
-                mine.value += counter.value
-            for (key, gauge) in other._gauges.items():
-                mine = self._gauges.get(key)
-                if mine is None:
-                    mine = self._gauges[key] = Gauge(self._lock)
-                mine.value = gauge.value
-            for (key, histogram) in other._histograms.items():
-                mine = self._histograms.get(key)
-                if mine is None:
-                    mine = self._histograms[key] = Histogram(self._lock)
-                mine.observations.extend(histogram.observations)
 
 
 class _NullInstrument:

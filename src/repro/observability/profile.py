@@ -17,7 +17,9 @@ off unless ``profile=True`` (or the CLI's ``--profile``) asked for it.
 tracemalloc's peak counter is process-global, so nesting needs care: the
 profiler resets the peak at every profiled enter and folds each child's
 observed peak back into its parent's running maximum, which keeps parent
-peaks correct even though children clobber the global counter.
+peaks correct even though children clobber the global counter.  When the
+last profiled span closes, the profiler stops tracemalloc again if it was
+the one to start it, so later code in the process runs untraced.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class StageProfiler:
             parent = self._frames[-1]
             parent[2] = max(parent[2], peak)
             tracemalloc.reset_peak()  # fresh window for the parent's tail
+        else:
+            # Last profiled frame closed: stop paying for tracemalloc.
+            self.close()
         return True
 
     def close(self) -> None:

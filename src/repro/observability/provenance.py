@@ -72,6 +72,21 @@ VERDICTS = (
 COLUMN_FATES = ("clean", "corrected", "erased", "uncorrectable", "unknown")
 
 
+def dominant_origin(
+    origins: Sequence[int], members: Iterable[int]
+) -> Optional[int]:
+    """The origin strand most of a cluster's reads came from.
+
+    *origins* maps read index to origin strand; *members* are the
+    cluster's read indices.  Ties go to the origin seen first in member
+    order.  This one rule picks the reference a consensus is scored
+    against, both in the quality report and in the provenance ledger and
+    its forensics.  ``None`` for an empty cluster.
+    """
+    votes = Counter(origins[read_index] for read_index in members)
+    return votes.most_common(1)[0][0] if votes else None
+
+
 # ----------------------------------------------------------------------
 # Per-strand records
 # ----------------------------------------------------------------------
@@ -332,10 +347,7 @@ class ProvenanceLedger:
         origins: List[int] = []
         pairs = []
         for kept_id, consensus in zip(self.kept_ids, reconstructions):
-            votes = Counter(
-                self.origins[read_index] for read_index in self.clusters[kept_id]
-            )
-            origin = votes.most_common(1)[0][0]
+            origin = dominant_origin(self.origins, self.clusters[kept_id])
             origins.append(origin)
             reference = (
                 self.references[origin]

@@ -19,23 +19,25 @@ measure duration (so rollups keep working untraced) but retain nothing —
 no tree, no attributes, no metrics — making disabled instrumentation cost
 exactly what the old hand-rolled ``perf_counter()`` pairs did.
 
-Tracing crosses process boundaries through :class:`WorkerTracer`: the
-worker-pool trampoline installs one per chunk (see
-:func:`capture_worker_spans`), worker code adds spans through the ambient
-:func:`worker_span`, and the parent grafts the exported records back into
-its own tree with :meth:`Tracer.attach_worker_export` — re-based onto the
-parent epoch and annotated with ``pid``/``chunk_index``/``items``, so one
-merged tree covers the whole fan-out.
+A span tree has one flat form, :func:`span_records` (depth-first
+``id``/``parent`` records), and one way back, :func:`spans_from_records`.
+The JSONL trace file writes and reads it, and so does tracing across
+process boundaries: the worker-pool trampoline installs a plain
+:class:`Tracer` per chunk (see :func:`capture_worker_spans`), worker code
+adds spans through the ambient :func:`worker_span`, the chunk ships its
+span records back, and the parent grafts them into its own tree with
+:meth:`Tracer.attach_worker_export` — re-based onto the parent epoch and
+annotated with ``pid``/``chunk_index``/``items``, so one merged tree
+covers the whole fan-out.
 
 Tracers are not thread-safe; use one per thread (or per pipeline run).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.metrics import NULL_REGISTRY, MetricsRegistry
 
@@ -170,28 +172,17 @@ class Tracer:
     ) -> List[Span]:
         """Graft one worker chunk's exported spans into this tracer's tree.
 
-        *export* is the dict produced by :meth:`WorkerTracer.export`.  The
-        reconstructed spans become children of the currently open span (or
-        new roots); each worker-side root is annotated with the worker
-        ``pid`` plus its ``chunk_index``/``items`` within the fan-out, and
-        every start offset is re-based by *base_offset* — the fan-out's
-        start relative to this tracer's epoch — so the merged timeline is
-        consistent.  Worker counters are summed into the metrics registry;
-        worker gauges are last-write-wins, matching
-        :meth:`MetricsRegistry.merge`.
+        *export* is ``{"pid", "spans"}``, with ``spans`` the worker tracer's
+        :func:`span_records`.  The rebuilt spans become children of the
+        currently open span (or new roots); each worker-side root is
+        annotated with the worker ``pid`` plus its ``chunk_index``/``items``
+        within the fan-out, and every start offset is re-based by
+        *base_offset* — the fan-out's start relative to this tracer's epoch
+        — so the merged timeline is consistent.
         """
-        spans: List[Span] = []
-        roots: List[Span] = []
-        for record in export.get("spans", ()):
-            span = Span(record["name"], dict(record["attributes"]))
-            span.start = base_offset + record["start"]
-            span.duration = record["duration"]
-            spans.append(span)
-            parent = record["parent"]
-            if parent < 0:
-                roots.append(span)
-            else:
-                spans[parent].children.append(span)
+        roots = spans_from_records(
+            enumerate(export.get("spans", ()), 1), offset=base_offset
+        )
         for root in roots:
             root.attributes.setdefault("pid", export.get("pid"))
             root.attributes.setdefault("chunk_index", chunk_index)
@@ -201,10 +192,6 @@ class Tracer:
             target.children.extend(roots)
         else:
             self.roots.extend(roots)
-        for name, value in export.get("counters", {}).items():
-            self.metrics.counter(name).inc(value)
-        for name, value in export.get("gauges", {}).items():
-            self.metrics.gauge(name).set(value)
         return roots
 
 
@@ -277,94 +264,90 @@ def as_tracer(tracer: Optional["Tracer"]) -> "Tracer":
 
 
 # ----------------------------------------------------------------------
-# Worker-side capture
+# Span records: the one flat form of a span tree
 # ----------------------------------------------------------------------
 
 
-class WorkerTracer:
-    """Span capture inside one worker chunk; exports plain records.
+def span_records(roots: Iterable[Span]) -> Iterator[Dict[str, Any]]:
+    """Flatten span trees into records, depth-first.
 
-    Spans recorded here start relative to the worker's own epoch (chunk
-    entry); :meth:`export` flattens them into picklable dicts so the
-    process-pool trampoline can ship them back, and
-    :meth:`Tracer.attach_worker_export` re-bases them onto the parent's
-    timeline.  ``gauges``/``counters`` are plain name→value maps for the
-    same reason — worker processes must not require a live
-    :class:`~repro.observability.metrics.MetricsRegistry` round trip.
+    Each record is ``{"id", "parent", "name", "start", "duration",
+    "attributes"}``: ids count from 1 in depth-first order and ``parent``
+    is the parent's id (0 for a root).  This is the span line of the JSONL
+    trace file (minus its ``kind``) and the span list a worker chunk ships
+    back to the parent process.
     """
+    next_id = 0
 
-    enabled = True
-
-    def __init__(self) -> None:
-        self.roots: List[Span] = []
-        self._stack: List[Span] = []
-        self.epoch = time.perf_counter()
-        self.gauges: Dict[str, float] = {}
-        self.counters: Dict[str, int] = {}
-
-    def span(self, name: str, **attributes: Any) -> Span:
-        return Span(name, attributes, _tracer=self)
-
-    # Same stack discipline as Tracer (Span.__enter__/__exit__ drive it).
-
-    def _push(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:
-            self._stack.remove(span)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def inc_counter(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def export(self) -> Dict[str, Any]:
-        """Flatten the recorded tree into a picklable record list.
-
-        ``spans`` is depth-first with ``parent`` holding the index of the
-        parent record (-1 for roots) — the same shape the JSONL exporter
-        uses, minus the ids.
-        """
-        records: List[Dict[str, Any]] = []
-
-        def emit(span: Span, parent: int) -> None:
-            index = len(records)
-            records.append(
-                {
-                    "name": span.name,
-                    "start": span.start,
-                    "duration": span.duration,
-                    "attributes": span.attributes,
-                    "parent": parent,
-                }
-            )
-            for child in span.children:
-                emit(child, index)
-
-        for root in self.roots:
-            emit(root, -1)
-        return {
-            "pid": os.getpid(),
-            "spans": records,
-            "gauges": dict(self.gauges),
-            "counters": dict(self.counters),
+    def emit(span: Span, parent: int) -> Iterator[Dict[str, Any]]:
+        nonlocal next_id
+        next_id += 1
+        span_id = next_id
+        yield {
+            "id": span_id,
+            "parent": parent,
+            "name": span.name,
+            "start": span.start,
+            "duration": span.duration,
+            "attributes": span.attributes,
         }
+        for child in span.children:
+            yield from emit(child, span_id)
 
+    for root in roots:
+        yield from emit(root, 0)
+
+
+def spans_from_records(
+    records: Iterable[Tuple[int, Any]], offset: float = 0.0
+) -> List[Span]:
+    """Rebuild span trees from numbered records; the inverse of :func:`span_records`.
+
+    *records* yields ``(number, record)`` pairs, where *number* locates the
+    record in its source (a trace file's line number) for error messages.
+    Every start is shifted by *offset*.  A record whose ``parent`` names no
+    earlier record becomes a root.  Returns the roots; raises
+    :class:`ValueError` for a record that is not an object, lacks one of
+    ``id``/``name``/``start``/``duration``, or holds a value of the wrong
+    type (a non-numeric time, non-object ``attributes``, a list id).
+    """
+    roots: List[Span] = []
+    by_id: Dict[Any, Span] = {}
+    for number, record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"line {number}: span record is not a JSON object")
+        missing = [
+            key for key in ("id", "name", "start", "duration") if key not in record
+        ]
+        if missing:
+            raise ValueError(
+                f"line {number}: span record lacks {', '.join(missing)}"
+            )
+        try:
+            span = Span(record["name"], dict(record.get("attributes", {})))
+            span.start = offset + float(record["start"])
+            span.duration = float(record["duration"])
+            by_id[record["id"]] = span
+            parent = by_id.get(record.get("parent") or 0)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"line {number}: bad span record: {error}") from None
+        if parent is None:
+            roots.append(span)
+        else:
+            parent.children.append(span)
+    return roots
+
+
+# ----------------------------------------------------------------------
+# Worker-side capture
+# ----------------------------------------------------------------------
 
 #: The ambient per-process worker tracer (installed by the pool trampoline).
-_WORKER_TRACER: Optional[WorkerTracer] = None
+_WORKER_TRACER: Optional[Tracer] = None
 
 
-def current_worker_tracer() -> Optional[WorkerTracer]:
-    """The ambient :class:`WorkerTracer`, or ``None`` outside capture."""
+def current_worker_tracer() -> Optional[Tracer]:
+    """The ambient worker :class:`Tracer`, or ``None`` outside capture."""
     return _WORKER_TRACER
 
 
@@ -381,11 +364,11 @@ def worker_span(name: str, **attributes: Any):
 
 
 @contextmanager
-def capture_worker_spans() -> Iterator[WorkerTracer]:
-    """Install a fresh ambient :class:`WorkerTracer` for one chunk."""
+def capture_worker_spans() -> Iterator[Tracer]:
+    """Install a fresh ambient worker :class:`Tracer` for one chunk."""
     global _WORKER_TRACER
     previous = _WORKER_TRACER
-    tracer = WorkerTracer()
+    tracer = Tracer()
     _WORKER_TRACER = tracer
     try:
         yield tracer

@@ -20,11 +20,11 @@ the decisions those call sites used to duplicate:
   at any worker count and any chunking;
 * **observability** — given a recording tracer (``tracer=`` at
   construction, or assign :attr:`tracer` later), every chunk — serial or
-  process-pool — runs under a
-  :class:`~repro.observability.trace.WorkerTracer`.  The chunk's spans
-  (at minimum one ``worker.chunk`` root, plus whatever the worker
-  function adds via :func:`~repro.observability.trace.worker_span`) are
-  stitched back under the calling span annotated with
+  process-pool — runs under its own ambient
+  :class:`~repro.observability.trace.Tracer`.  The chunk's spans (at
+  minimum one ``worker.chunk`` root, plus whatever the worker function
+  adds via :func:`~repro.observability.trace.worker_span`) are stitched
+  back under the calling span annotated with
   ``pid``/``chunk_index``/``items``, per-chunk durations feed the
   ``worker_chunk_seconds{span=...}`` histogram, and each fan-out records
   a ``worker_load_imbalance{span=...}`` gauge (max/mean chunk duration).
@@ -36,12 +36,13 @@ argument shared by every chunk.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.observability.metrics import load_imbalance
-from repro.observability.trace import Tracer, capture_worker_spans
+from repro.observability.trace import Tracer, capture_worker_spans, span_records
 
 Item = TypeVar("Item")
 ChunkResult = TypeVar("ChunkResult")
@@ -70,17 +71,21 @@ def plan_chunks(count: int, workers: int) -> List[Tuple[int, int]]:
 def _run_captured(fn, chunk, extra):
     """Run one chunk under worker-span capture.
 
-    Returns ``(result, export, seconds)``: the chunk result, the
-    serialized :class:`~repro.observability.trace.WorkerTracer` export
-    (spans + gauges + counters), and the chunk's wall-clock duration.
-    The whole chunk runs inside a ``worker.chunk`` root span so every
-    fan-out contributes worker-side spans even when the worker function
-    itself adds none.
+    Returns ``(result, export, seconds)``: the chunk result, the chunk's
+    spans as ``{"pid", "spans"}`` (``spans`` being the worker tracer's
+    :func:`~repro.observability.trace.span_records`), and the chunk's
+    wall-clock duration.  The whole chunk runs inside a ``worker.chunk``
+    root span so every fan-out contributes worker-side spans even when the
+    worker function itself adds none.
     """
     with capture_worker_spans() as worker_tracer:
         with worker_tracer.span("worker.chunk", items=len(chunk)) as span:
             result = fn(chunk, extra)
-    return result, worker_tracer.export(), span.duration
+    export = {
+        "pid": os.getpid(),
+        "spans": list(span_records(worker_tracer.roots)),
+    }
+    return result, export, span.duration
 
 
 def _invoke(payload):

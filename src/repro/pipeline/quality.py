@@ -16,13 +16,13 @@ two views of the same data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.codec.decoder import DecodeReport
 from repro.dna.distance import levenshtein_distance
 from repro.observability.metrics import MetricsRegistry, percentile
+from repro.observability.provenance import dominant_origin
 from repro.observability.quality import DecodingQuality, ReconstructionQuality
 
 
@@ -65,8 +65,7 @@ def reconstruction_quality(
     distances: List[int] = []
     exact = 0
     for cluster, consensus in zip(kept_clusters, reconstructions):
-        votes = Counter(truth.origins[read_index] for read_index in cluster)
-        origin = votes.most_common(1)[0][0]
+        origin = dominant_origin(truth.origins, cluster)
         reference = truth.references[origin]
         if consensus == reference:
             exact += 1

@@ -17,7 +17,7 @@ from repro.observability import (
     write_trace,
 )
 from repro.observability.export import MAIN_LANE_PID
-from repro.observability.trace import WorkerTracer
+from repro.observability.trace import span_records
 
 
 def make_tracer() -> Tracer:
@@ -82,6 +82,54 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError):
             load_trace(['{"kind": "mystery"}'])
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "span", "id": 1, "parent": 0}', "line 3: .*lacks name"),
+            ("[1, 2]", "line 3: .*not a JSON object"),
+            (
+                '{"kind": "span", "id": 1, "name": "a", "start": "x", "duration": 0}',
+                "line 3: bad span record",
+            ),
+            (
+                '{"kind": "span", "id": 1, "name": "a", "start": 0, "duration": 0, '
+                '"attributes": [1]}',
+                "line 3: bad span record",
+            ),
+            (
+                '{"kind": "span", "id": [1], "name": "a", "start": 0, "duration": 0}',
+                "line 3: bad span record",
+            ),
+            ("{not json", "line 3: "),
+        ],
+    )
+    def test_malformed_line_rejected_with_its_number(self, line, message):
+        lines = ['{"kind": "meta", "version": 1}', "", line]
+        with pytest.raises(ValueError, match=message):
+            load_trace(lines)
+
+    def test_span_lines_are_byte_stable(self):
+        # Writing what was loaded reproduces the span lines exactly, so a
+        # trace file keeps its bytes through a load/write cycle.
+        tracer = make_tracer()
+        lines = [line for line in trace_lines(tracer) if '"kind": "span"' in line]
+        reloaded = Tracer()
+        reloaded.roots = load_trace(trace_lines(tracer)).roots
+        assert [
+            line for line in trace_lines(reloaded) if '"kind": "span"' in line
+        ] == lines
+        assert lines[1] == json.dumps(
+            {
+                "kind": "span",
+                "id": 2,
+                "parent": 1,
+                "name": "pipeline.clustering",
+                "start": tracer.roots[0].children[0].start,
+                "duration": tracer.roots[0].children[0].duration,
+                "attributes": {"reads": 20, "clusters": 4},
+            }
+        )
+
     def test_blank_lines_ignored(self):
         lines = list(trace_lines(make_tracer()))
         trace = load_trace(["", *lines, "  "])
@@ -95,13 +143,15 @@ def make_fanout_tracer(chunks: int = 2) -> Tracer:
         with tracer.span("pipeline.simulation") as fanout:
             durations = []
             for chunk_index in range(chunks):
-                worker = WorkerTracer()
+                worker = Tracer()
                 with worker.span("worker.chunk", items=5):
                     with worker.span("simulation.sequence_strands"):
                         pass
-                export = worker.export()
                 # Fake distinct worker pids so lane assignment is testable.
-                export["pid"] = 40000 + chunk_index
+                export = {
+                    "pid": 40000 + chunk_index,
+                    "spans": list(span_records(worker.roots)),
+                }
                 tracer.attach_worker_export(
                     export, chunk_index=chunk_index, items=5, base_offset=0.01
                 )

@@ -118,15 +118,6 @@ class TestRegistryIteration:
         registry.histogram("c")
         assert len(registry) == 3
 
-    def test_merge_sums_counters_and_extends_histograms(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("n").inc(2)
-        right.counter("n").inc(3)
-        right.histogram("h").observe(1.0)
-        left.merge(right)
-        assert left.counter("n").value == 5
-        assert left.histogram("h").count == 1
-
 
 class TestThreadSafety:
     def test_concurrent_counter_increments_sum_exactly(self):

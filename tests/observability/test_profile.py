@@ -37,6 +37,35 @@ class TestProfilingTracer:
             tracer.profiler.close()
         assert not any(key in deep.attributes for key in PROFILE_KEYS)
 
+    def test_tracemalloc_stops_when_last_stage_closes(self):
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+        tracer = Tracer(profile=True)
+        with tracer.span("pipeline.run"):
+            with tracer.span("pipeline.encoding"):
+                assert tracemalloc.is_tracing()
+            assert tracemalloc.is_tracing()  # the root is still open
+        assert not tracemalloc.is_tracing()
+        assert "mem_peak_kb" in tracer.roots[0].attributes
+        # A later root profiles again, and stops again.
+        with tracer.span("second") as second:
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
+        assert "mem_peak_kb" in second.attributes
+
+    def test_tracemalloc_started_elsewhere_stays_on(self):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracer = Tracer(profile=True)
+            with tracer.span("pipeline.run"):
+                pass
+            assert tracemalloc.is_tracing()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
     def test_default_tracer_does_not_profile(self):
         tracer = Tracer()
         assert tracer.profiler is None

@@ -16,7 +16,7 @@ from repro.observability import (
     load_ledger,
     write_ledger,
 )
-from repro.observability.provenance import ProvenanceSummary
+from repro.observability.provenance import ProvenanceSummary, dominant_origin
 from repro.pipeline import Pipeline, PipelineConfig
 from repro.simulation import ConstantCoverage, IIDChannel
 
@@ -34,6 +34,20 @@ def fast_config(**overrides) -> PipelineConfig:
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+class TestDominantOrigin:
+    def test_majority_wins(self):
+        origins = [0, 1, 1, 2]
+        assert dominant_origin(origins, [0, 1, 2, 3]) == 1
+
+    def test_tie_goes_to_first_seen_in_member_order(self):
+        origins = [5, 3, 3, 5]
+        assert dominant_origin(origins, [0, 1, 2, 3]) == 5
+        assert dominant_origin(origins, [1, 0, 2, 3]) == 3
+
+    def test_empty_cluster_has_no_origin(self):
+        assert dominant_origin([0, 1], []) is None
 
 
 class TestLedgerRecording:

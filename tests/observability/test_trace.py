@@ -8,10 +8,11 @@ import pytest
 from repro.observability import NULL_TRACER, NullTracer, Tracer, as_tracer
 from repro.observability.metrics import NULL_REGISTRY
 from repro.observability.trace import (
-    WorkerTracer,
     _NullSpan,
     capture_worker_spans,
     current_worker_tracer,
+    span_records,
+    spans_from_records,
     worker_span,
 )
 
@@ -216,33 +217,77 @@ class TestOutOfOrderExit:
             assert tracer.current_span().name == "open"
 
 
-class TestWorkerTracer:
-    def test_export_flattens_depth_first_with_parent_indices(self):
-        worker = WorkerTracer()
-        with worker.span("chunk", items=3):
-            with worker.span("inner.a"):
+def _worker_export(tracer):
+    """The ``{"pid", "spans"}`` shape a worker chunk ships to the parent."""
+    return {"pid": os.getpid(), "spans": list(span_records(tracer.roots))}
+
+
+class TestSpanRecords:
+    def test_flattens_depth_first_with_parent_ids(self):
+        tracer = Tracer()
+        with tracer.span("chunk", items=3):
+            with tracer.span("inner.a"):
+                with tracer.span("inner.a.deep"):
+                    pass
+            with tracer.span("inner.b"):
                 pass
-            with worker.span("inner.b"):
-                pass
-        worker.inc_counter("calls", 2)
-        worker.set_gauge("items_seen", 3)
-        export = worker.export()
-        assert export["pid"] == os.getpid()
-        assert [record["name"] for record in export["spans"]] == [
+        with tracer.span("second"):
+            pass
+        records = list(span_records(tracer.roots))
+        assert [record["name"] for record in records] == [
             "chunk",
             "inner.a",
+            "inner.a.deep",
             "inner.b",
+            "second",
         ]
-        assert [record["parent"] for record in export["spans"]] == [-1, 0, 0]
-        assert export["counters"] == {"calls": 2}
-        assert export["gauges"] == {"items_seen": 3.0}
+        assert [record["id"] for record in records] == [1, 2, 3, 4, 5]
+        assert [record["parent"] for record in records] == [0, 1, 2, 1, 0]
+        assert list(records[0]) == [
+            "id",
+            "parent",
+            "name",
+            "start",
+            "duration",
+            "attributes",
+        ]
+        assert records[0]["attributes"] == {"items": 3}
 
-    def test_attach_round_trip_rebases_and_annotates(self):
-        worker = WorkerTracer()
-        with worker.span("worker.chunk"):
-            with worker.span("nested"):
+    def test_rebuild_inverts_flatten(self):
+        tracer = Tracer()
+        with tracer.span("a", n=1):
+            with tracer.span("b"):
                 pass
-        export = worker.export()
+            with tracer.span("c"):
+                pass
+        records = list(span_records(tracer.roots))
+        rebuilt = spans_from_records(enumerate(records, 1))
+        assert list(span_records(rebuilt)) == records
+
+    def test_rebuild_shifts_starts_by_offset(self):
+        tracer = Tracer()
+        with tracer.span("a"):
+            pass
+        (root,) = spans_from_records(
+            enumerate(span_records(tracer.roots), 1), offset=2.5
+        )
+        assert root.start == 2.5 + tracer.roots[0].start
+        assert root.duration == tracer.roots[0].duration
+
+    def test_unknown_parent_becomes_root(self):
+        records = [
+            (1, {"id": 7, "parent": 99, "name": "orphan", "start": 0, "duration": 0})
+        ]
+        assert [root.name for root in spans_from_records(records)] == ["orphan"]
+
+
+class TestAttachWorkerExport:
+    def test_attach_round_trip_rebases_and_annotates(self):
+        with capture_worker_spans() as worker:
+            with worker.span("worker.chunk"):
+                with worker_span("nested"):
+                    pass
+        export = _worker_export(worker)
 
         tracer = Tracer()
         with tracer.span("fanout") as calling:
@@ -260,23 +305,22 @@ class TestWorkerTracer:
         # Only roots get the fan-out annotations.
         assert "pid" not in grafted.children[0].attributes
 
-    def test_attach_sums_counters_and_sets_gauges(self):
+    def test_attach_copies_attributes(self):
+        worker = Tracer()
+        with worker.span("worker.chunk", items=1):
+            pass
+        export = _worker_export(worker)
         tracer = Tracer()
-        tracer.metrics.counter("calls").inc(1)
-        for value in (2, 3):
-            worker = WorkerTracer()
-            worker.inc_counter("calls", value)
-            worker.set_gauge("latest", value)
-            tracer.attach_worker_export(worker.export(), chunk_index=0, items=0)
-        assert tracer.metrics.counter("calls").value == 6
-        assert tracer.metrics.gauge("latest").value == 3.0
+        (grafted,) = tracer.attach_worker_export(export, chunk_index=0, items=1)
+        assert worker.roots[0].attributes == {"items": 1}
+        assert grafted.attributes == {"items": 1, "pid": os.getpid(), "chunk_index": 0}
 
     def test_attach_outside_span_creates_roots(self):
-        worker = WorkerTracer()
+        worker = Tracer()
         with worker.span("worker.chunk"):
             pass
         tracer = Tracer()
-        tracer.attach_worker_export(worker.export(), chunk_index=0, items=1)
+        tracer.attach_worker_export(_worker_export(worker), chunk_index=0, items=1)
         assert [root.name for root in tracer.roots] == ["worker.chunk"]
 
 
@@ -290,6 +334,7 @@ class TestAmbientWorkerCapture:
 
     def test_capture_installs_and_restores(self):
         with capture_worker_spans() as worker:
+            assert isinstance(worker, Tracer)
             assert current_worker_tracer() is worker
             with worker_span("captured", n=2):
                 pass

@@ -22,16 +22,12 @@ def _summarise_chunk(items, extra):
 
 
 def _traced_chunk(items, extra):
-    """Picklable worker that records its own worker-side spans and metrics."""
-    from repro.observability.trace import current_worker_tracer, worker_span
+    """Picklable worker that records its own worker-side spans."""
+    from repro.observability.trace import worker_span
 
     with worker_span("chunk.work", n=len(items)):
         with worker_span("chunk.inner"):
             pass
-    tracer = current_worker_tracer()
-    if tracer is not None:
-        tracer.inc_counter("chunk_calls")
-        tracer.set_gauge("chunk_items", len(items))
     return [item + 1 for item in items]
 
 
@@ -133,15 +129,10 @@ class TestWorkerCapture:
         assert pool.last_shards == 1
         assert len(pool.last_chunk_seconds) == 1
         self._assert_stitched(tracer, expected_chunks=1)
-        counters = {
-            name: counter.value for name, _, counter in tracer.metrics.counters()
-        }
-        assert counters["chunk_calls"] == 1
         gauges = {
             (name, labels.get("span")): gauge.value
             for name, labels, gauge in tracer.metrics.gauges()
         }
-        assert gauges[("chunk_items", None)] == 10
         assert gauges[("worker_load_imbalance", "fanout")] >= 1.0
 
     def test_process_path_stitches_worker_spans(self):
@@ -153,10 +144,6 @@ class TestWorkerCapture:
         assert pool.last_shards == 3
         assert len(pool.last_chunk_seconds) == 3
         self._assert_stitched(tracer, expected_chunks=3)
-        counters = {
-            name: counter.value for name, _, counter in tracer.metrics.counters()
-        }
-        assert counters["chunk_calls"] == 3
         histograms = {
             (name, labels.get("span")): histogram.count
             for name, labels, histogram in tracer.metrics.histograms()

@@ -571,6 +571,22 @@ class TestTraceFromFlag:
         assert run("trace") == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"kind": "span", "id": 1, "parent": 0}', "lacks name"),
+            ("[1, 2]", "not a JSON object"),
+        ],
+    )
+    def test_malformed_span_record_is_usage_error(
+        self, tmp_path, capsys, line, message
+    ):
+        trace_path = tmp_path / "bad.jsonl"
+        trace_path.write_text('{"kind": "meta", "version": 1}\n' + line + "\n")
+        assert run("trace", trace_path) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
+
 
 class TestRunsRegistryCommands:
     """`pipeline` records by default (conftest points $REPRO_RUNS_DIR at a
